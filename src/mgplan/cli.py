@@ -121,7 +121,7 @@ def dispatch(
 @click.option("--out", "out_dir", default=None, type=click.Path(), help="Output directory (overrides spec).")
 @click.option("--workers", default=None, type=int, help="Worker processes (overrides spec).")
 @click.option("--gep", default=None, type=float, help="Grid electricity price $/MWh (overrides spec).")
-@click.option("--resume", is_flag=True, help="Skip cells already checkpointed.")
+@click.option("--resume", is_flag=True, help="Skip cells already checkpointed and complete partly finished dispatch groups.")
 @_exit_codes
 def sweep(
     spec_path: str,

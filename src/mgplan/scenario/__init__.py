@@ -10,6 +10,7 @@ from .sweep import (
     load_sweep_spec,
     result_fields,
     run_cell,
+    run_group,
     run_sweep,
 )
 
@@ -27,5 +28,6 @@ __all__ = [
     "results_to_csv",
     "results_to_json",
     "run_cell",
+    "run_group",
     "run_sweep",
 ]

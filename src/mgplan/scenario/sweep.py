@@ -1,24 +1,31 @@
 """Sweep orchestration: run the dispatch-to-costs chain over a grid of
 sites, nameplate scalings, battery sizes, chemistries, and demand shifts.
 
-Cells are independent tasks; results are gathered, sorted by axis
-coordinates, and optionally checkpointed per cell so interrupted sweeps
-can resume. Output content is deterministic for a fixed spec (wall-time
-fields excepted).
+Battery chemistry enters only the cost chain, never the dispatch LP, so
+the unit of work is a dispatch group: the cells that share site,
+nameplate scale, battery size and shift and differ only in chemistry.
+Groups are independent tasks, each solved once; their rows are
+checkpointed as each group finishes so interrupted sweeps can resume,
+then gathered and sorted by axis coordinates. Output content is
+deterministic for a fixed spec (wall-time fields excepted).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 from .. import costs as costs_mod
 from .. import stakeholders as stake_mod
 from ..dispatch import (
     BatterySpec,
+    DispatchResult,
     SolveOptions,
     build_instance,
     solve_dispatch,
@@ -87,6 +94,13 @@ class SweepSpec:
         for chem in self.chemistries:
             if chem not in self.chemistry_params:
                 costs_mod.get_chemistry(chem)
+
+    @cached_property
+    def _sites_by_index(self) -> dict[int, SweepSite]:
+        by_index: dict[int, SweepSite] = {}
+        for site in self.sites:
+            by_index.setdefault(site.site_index, site)
+        return by_index
 
     def n_cells(self) -> int:
         return (
@@ -214,40 +228,88 @@ def result_fields() -> tuple[str, ...]:
 
 def run_cell(spec: SweepSpec, key: CellKey) -> ScenarioResult:
     """Dispatch one cell and derive its cost and stakeholder metrics."""
+    return run_group(spec, [key])[0]
+
+
+def _dispatch_axes(key: CellKey) -> tuple[int, float, float, int]:
+    """Every axis the dispatch LP depends on; chemistry enters only the costs."""
+    return (key.site_index, key.nameplate_scale, key.battery_mwh, key.shift_hours)
+
+
+def run_group(spec: SweepSpec, keys: Sequence[CellKey]) -> list[ScenarioResult]:
+    """Dispatch one group of cells once and derive each cell's metrics.
+
+    The cells must share site, nameplate scale, battery size and shift,
+    so that they differ only in chemistry. The profiles are shifted and
+    scaled and the instance built and solved once; the cost and
+    stakeholder chain then runs once per cell. Rows come back in the
+    order of ``keys``. Each row's ``wall_time_s`` is an equal share of the
+    group's shift, build and solve time plus its own derivation time, so
+    the rows of a group sum to the time spent on it. A failed solve marks
+    every row of the group failed.
+    """
+    if not keys:
+        raise ValidationError("a dispatch group needs at least one cell")
+    axes = _dispatch_axes(keys[0])
+    if any(_dispatch_axes(key) != axes for key in keys):
+        raise ValidationError(
+            f"cells of a dispatch group may differ only in chemistry: {list(keys)}"
+        )
     t0 = time.perf_counter()
-    site = _site_by_index(spec, key.site_index)
-    load = shift_profile(spec.load, key.shift_hours)
-    carbon = (
-        shift_profile(spec.carbon, key.shift_hours) if spec.shift_carbon else spec.carbon
-    )
-    solar, nameplate = site.solar_at(key.nameplate_scale)
-    battery = BatterySpec(key.battery_mwh, duration_h=spec.battery_duration_h)
+    site_index, scale, battery_mwh, shift = axes
+    site = _site_by_index(spec, site_index)
+    load = shift_profile(spec.load, shift)
+    carbon = shift_profile(spec.carbon, shift) if spec.shift_carbon else spec.carbon
+    solar, nameplate = site.solar_at(scale)
+    battery = BatterySpec(battery_mwh, duration_h=spec.battery_duration_h)
     instance = build_instance(load, solar, carbon, battery)
     annual_load = load.total()
-    base = dict(
-        site_index=key.site_index,
-        nameplate_scale=key.nameplate_scale,
-        battery_mwh=key.battery_mwh,
-        chemistry=key.chemistry,
-        shift_hours=key.shift_hours,
-        site_label=site.label,
-        nameplate_mw=nameplate,
-        annual_load_mwh=annual_load,
-    )
     try:
         result = solve_dispatch(instance, spec.solver)
+        failure = None
     except SolverFailure as exc:
-        return ScenarioResult(
-            **base,
+        result = None
+        failure = {
             **{name: None for name in _RESULT_FIELDS[8:-3]},
-            status=f"failed: {exc}",
-            gap=float("nan"),
-            wall_time_s=time.perf_counter() - t0,
-        )
+            "status": f"failed: {exc}",
+            "gap": float("nan"),
+        }
+    shared_s = (time.perf_counter() - t0) / len(keys)
 
-    chem = spec.chemistry_params.get(key.chemistry) or costs_mod.get_chemistry(
-        key.chemistry
-    )
+    rows = []
+    for key in keys:
+        t = time.perf_counter()
+        metrics = failure or _cell_metrics(
+            spec, key.chemistry, battery_mwh, result, solar, nameplate, annual_load
+        )
+        rows.append(
+            ScenarioResult(
+                site_index=site_index,
+                nameplate_scale=scale,
+                battery_mwh=battery_mwh,
+                chemistry=key.chemistry,
+                shift_hours=shift,
+                site_label=site.label,
+                nameplate_mw=nameplate,
+                annual_load_mwh=annual_load,
+                **metrics,
+                wall_time_s=shared_s + (time.perf_counter() - t),
+            )
+        )
+    return rows
+
+
+def _cell_metrics(
+    spec: SweepSpec,
+    chemistry: str,
+    battery_mwh: float,
+    result: DispatchResult,
+    solar: HourlyProfile,
+    nameplate: float,
+    annual_load: float,
+) -> dict:
+    """Cost and stakeholder metrics of one chemistry on a solved dispatch."""
+    chem = spec.chemistry_params.get(chemistry) or costs_mod.get_chemistry(chemistry)
     occ_pv = (
         costs_mod.solar_capital_cost(nameplate, spec.cost_per_wdc)
         if nameplate > 0
@@ -258,13 +320,11 @@ def run_cell(spec: SweepSpec, key: CellKey) -> ScenarioResult:
         if solar.total() > 0
         else None
     )
-    if key.battery_mwh > 0:
-        pack = costs_mod.configure_pack(
-            key.battery_mwh, chem, spec.battery_duration_h
-        )
+    if battery_mwh > 0:
+        pack = costs_mod.configure_pack(battery_mwh, chem, spec.battery_duration_h)
         breakdown = costs_mod.battery_capital_cost(pack, chem, spec.stack)
         occ_batt = breakdown.total_usd
-        lcos_val = costs_mod.lcos(occ_batt, chem.cycles_eol, key.battery_mwh)
+        lcos_val = costs_mod.lcos(occ_batt, chem.cycles_eol, battery_mwh)
         coc_val = costs_mod.cost_of_charging(
             result.chg_solar, result.chg_grid, lcopr_val or 0.0, spec.gep_usd_per_mwh
         )
@@ -306,8 +366,7 @@ def run_cell(spec: SweepSpec, key: CellKey) -> ScenarioResult:
         if spec.fleet_partial is not None
         else None
     )
-    return ScenarioResult(
-        **base,
+    return dict(
         reduction_pct=result.reduction_pct,
         baseline_kg=result.baseline_kg,
         renewable_kg=result.renewable_kg,
@@ -330,8 +389,39 @@ def run_cell(spec: SweepSpec, key: CellKey) -> ScenarioResult:
         fleet_partial_usd_per_mile=fleet_partial,
         status=result.status,
         gap=result.gap,
-        wall_time_s=time.perf_counter() - t0,
     )
+
+
+def _read_checkpoint(path: Path) -> dict[CellKey, ScenarioResult]:
+    """Rows of a checkpoint file, keyed by cell.
+
+    A sweep killed mid-write can leave a truncated last line. That line is
+    dropped, so its group is solved again, and the file is rewritten
+    without it before new rows are appended. An unreadable line anywhere
+    else is corruption, not an interruption, and raises.
+    """
+    text = path.read_text(encoding="utf-8")
+    lines = [
+        (n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()
+    ]
+    done: dict[CellKey, ScenarioResult] = {}
+    kept: list[str] = []
+    for i, (n, line) in enumerate(lines):
+        try:
+            row = ScenarioResult.from_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            if i == len(lines) - 1:
+                break
+            raise ValidationError(
+                f"{path}: line {n} is not a checkpoint row: {exc}"
+            ) from exc
+        done[row.key] = row
+        kept.append(line)
+    if len(kept) < len(lines) or (text and not text.endswith("\n")):
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
+        os.replace(tmp, path)
+    return done
 
 
 _WORKER_SPEC: SweepSpec | None = None
@@ -342,9 +432,9 @@ def _init_worker(spec: SweepSpec) -> None:
     _WORKER_SPEC = spec
 
 
-def _run_cell_in_worker(key: CellKey) -> ScenarioResult:
+def _run_group_in_worker(keys: list[CellKey]) -> list[ScenarioResult]:
     assert _WORKER_SPEC is not None
-    return run_cell(_WORKER_SPEC, key)
+    return run_group(_WORKER_SPEC, keys)
 
 
 def run_sweep(
@@ -354,25 +444,40 @@ def run_sweep(
 ) -> list[ScenarioResult]:
     """Run every cell of the cross product and return sorted results.
 
-    With ``resume``, cells already present in the per-cell checkpoint
-    file are reused instead of re-solved. Execution order never affects
-    output order (results are sorted by axis coordinates at the end).
+    The unit of work is a dispatch group: the cells that share site,
+    nameplate scale, battery size and shift and differ only in chemistry.
+    Each group is solved once, on the process pool or serially, and its
+    rows are checkpointed as soon as it finishes. With ``resume``, cells
+    already in the checkpoint file are reused; a group with any cell
+    missing is solved again and only its missing cells are derived.
+    Execution order never affects output order (results are sorted by
+    axis coordinates at the end).
     """
     keys = spec.cell_keys()
     if progress_path is None and spec.output_dir is not None:
         progress_path = Path(spec.output_dir) / "cells.jsonl"
     done: dict[CellKey, ScenarioResult] = {}
     if resume and progress_path is not None and Path(progress_path).exists():
-        for line in Path(progress_path).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                row = ScenarioResult.from_dict(json.loads(line))
-                done[row.key] = row
-    pending = [key for key in keys if key not in done]
+        done = _read_checkpoint(Path(progress_path))
+    groups: dict[tuple, list[CellKey]] = {}
+    for key in keys:
+        if key not in done:
+            groups.setdefault(_dispatch_axes(key), []).append(key)
+    pending = list(groups.values())
 
     writer = None
     if progress_path is not None:
         Path(progress_path).parent.mkdir(parents=True, exist_ok=True)
         writer = open(progress_path, "a" if resume else "w", encoding="utf-8")
+
+    def record(rows: list[ScenarioResult]) -> None:
+        for row in rows:
+            done[row.key] = row
+            if writer:
+                writer.write(json.dumps(row.to_dict(), sort_keys=True) + "\n")
+        if writer:
+            writer.flush()
+
     try:
         if spec.workers > 1 and len(pending) > 1:
             with ProcessPoolExecutor(
@@ -380,18 +485,12 @@ def run_sweep(
                 initializer=_init_worker,
                 initargs=(spec,),
             ) as pool:
-                for row in pool.map(_run_cell_in_worker, pending):
-                    done[row.key] = row
-                    if writer:
-                        writer.write(json.dumps(row.to_dict(), sort_keys=True) + "\n")
-                        writer.flush()
+                futures = [pool.submit(_run_group_in_worker, group) for group in pending]
+                for future in as_completed(futures):
+                    record(future.result())
         else:
-            for key in pending:
-                row = run_cell(spec, key)
-                done[row.key] = row
-                if writer:
-                    writer.write(json.dumps(row.to_dict(), sort_keys=True) + "\n")
-                    writer.flush()
+            for group in pending:
+                record(run_group(spec, group))
     finally:
         if writer:
             writer.close()
@@ -486,7 +585,7 @@ def load_sweep_spec(source: str | Path) -> SweepSpec:
 
 
 def _site_by_index(spec: SweepSpec, site_index: int) -> SweepSite:
-    for site in spec.sites:
-        if site.site_index == site_index:
-            return site
-    raise ValidationError(f"no site with index {site_index}")
+    site = spec._sites_by_index.get(site_index)
+    if site is None:
+        raise ValidationError(f"no site with index {site_index}")
+    return site

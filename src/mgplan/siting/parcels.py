@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -44,10 +45,17 @@ class SiteCatalog:
         return len(self.parcels)
 
     def __getitem__(self, site_index: int) -> Parcel:
+        parcel = self._by_index.get(site_index)
+        if parcel is None:
+            raise KeyError(f"no parcel with site index {site_index}")
+        return parcel
+
+    @cached_property
+    def _by_index(self) -> dict[int, Parcel]:
+        by_index: dict[int, Parcel] = {}
         for parcel in self.parcels:
-            if parcel.site_index == site_index:
-                return parcel
-        raise KeyError(f"no parcel with site index {site_index}")
+            by_index.setdefault(parcel.site_index, parcel)
+        return by_index
 
 
 def aggregate_parcels(

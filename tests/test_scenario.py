@@ -9,6 +9,7 @@ from mgplan import (
     BatterySpec,
     HourlyProfile,
     SolveOptions,
+    SolverFailure,
     UNIT_KG_PER_HOUR,
     UNIT_MW,
     ValidationError,
@@ -24,8 +25,10 @@ from mgplan.scenario import (
     SweepSpec,
     load_sweep_spec,
     run_cell,
+    run_group,
     run_sweep,
 )
+from mgplan.scenario import sweep as sweep_mod
 from mgplan.scenario.sweep import CellKey
 
 from support import synthetic_year
@@ -110,10 +113,12 @@ class TestRunSweep:
         assert row.utility_years_op == 30.0
 
     def test_parallel_equals_serial(self):
-        spec_serial = small_spec(battery_sizes_mwh=(0.0, 10.0), workers=1)
-        spec_parallel = small_spec(battery_sizes_mwh=(0.0, 10.0), workers=2)
+        axes = dict(battery_sizes_mwh=(0.0, 10.0), chemistries=("LFP", "NMC811"))
+        spec_serial = small_spec(workers=1, **axes)
+        spec_parallel = small_spec(workers=2, **axes)
         a = [r.to_dict() for r in run_sweep(spec_serial)]
         b = [r.to_dict() for r in run_sweep(spec_parallel)]
+        assert len(a) == len(b) == 4
         for left, right in zip(a, b):
             left.pop("wall_time_s")
             right.pop("wall_time_s")
@@ -140,6 +145,120 @@ class TestRunSweep:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
             small_spec(battery_sizes_mwh=())
+
+
+DISPATCH_FIELDS = (
+    "reduction_pct", "baseline_kg", "renewable_kg", "util_grid", "util_solar",
+    "util_batt", "chg_grid", "chg_solar", "cycles_per_year", "status", "gap",
+)
+
+
+def count_solves(monkeypatch):
+    """Record every instance the sweep hands to ``solve_dispatch``."""
+    solved = []
+
+    def counting(instance, options=None):
+        solved.append(instance)
+        return solve_dispatch(instance, options)
+
+    monkeypatch.setattr(sweep_mod, "solve_dispatch", counting)
+    return solved
+
+
+def without_wall_time(rows):
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_time_s"} for r in rows]
+
+
+class TestDispatchGroups:
+    CHEMS = ("LFP", "NMC811", "NCA")
+
+    def test_one_solve_per_dispatch_group(self, monkeypatch):
+        solved = count_solves(monkeypatch)
+        rows = run_sweep(small_spec(chemistries=self.CHEMS))
+        assert len(rows) == 6
+        assert len(solved) == 2
+        assert all(r.wall_time_s > 0 for r in rows)
+
+    def test_dispatch_fields_shared_across_chemistries(self):
+        rows = run_sweep(small_spec(chemistries=self.CHEMS))
+        single = small_spec(chemistries=("LFP",))
+        for battery in single.battery_sizes_mwh:
+            alone = run_cell(single, CellKey(1, 1.0, battery, "LFP", 0))
+            group = [r for r in rows if r.battery_mwh == battery]
+            assert {r.chemistry for r in group} == set(self.CHEMS)
+            for row in group:
+                for name in DISPATCH_FIELDS:
+                    assert getattr(row, name) == getattr(alone, name), name
+
+    def test_costs_still_differ_by_chemistry(self):
+        rows = run_sweep(small_spec(battery_sizes_mwh=(20.0,), chemistries=self.CHEMS))
+        assert len({r.occ_batt_usd for r in rows}) == 3
+
+    def test_run_group_rejects_mixed_dispatch_axes(self):
+        spec = small_spec()
+        keys = [CellKey(1, 1.0, 0.0, "LFP", 0), CellKey(1, 1.0, 20.0, "LFP", 0)]
+        with pytest.raises(ValidationError, match="only in chemistry"):
+            run_group(spec, keys)
+
+    def test_failed_solve_marks_every_row_of_its_group(self, monkeypatch):
+        def failing(instance, options=None):
+            raise SolverFailure("no optimum")
+
+        monkeypatch.setattr(sweep_mod, "solve_dispatch", failing)
+        rows = run_sweep(small_spec(battery_sizes_mwh=(20.0,), chemistries=self.CHEMS))
+        assert len(rows) == 3
+        for row in rows:
+            assert row.status == "failed: no optimum"
+            assert row.reduction_pct is None and row.tec_usd_per_mwh is None
+            assert row.wall_time_s > 0
+
+
+class TestResume:
+    def spec(self, tmp_path):
+        return small_spec(tmp_path=tmp_path, chemistries=("LFP", "NMC811"))
+
+    def test_missing_chemistry_solves_only_its_group(self, tmp_path, monkeypatch):
+        spec = self.spec(tmp_path)
+        first = run_sweep(spec)
+        progress = tmp_path / "cells.jsonl"
+        lines = progress.read_text().splitlines()
+        keys = [ScenarioResult.from_dict(json.loads(line)).key for line in lines]
+        gone = keys.index(CellKey(1, 1.0, 20.0, "NMC811", 0))
+        kept = lines[:gone] + lines[gone + 1:]
+        progress.write_text("".join(line + "\n" for line in kept))
+        solved = count_solves(monkeypatch)
+        second = run_sweep(spec, resume=True)
+        after = progress.read_text().splitlines()
+        assert after[:-1] == kept
+        assert json.loads(after[-1])["chemistry"] == "NMC811"
+        assert len(solved) == 1
+        assert without_wall_time(second) == without_wall_time(first)
+
+    def test_truncated_last_line_is_solved_again(self, tmp_path, monkeypatch):
+        spec = self.spec(tmp_path)
+        first = run_sweep(spec)
+        progress = tmp_path / "cells.jsonl"
+        text = progress.read_text()
+        progress.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2])
+        solved = count_solves(monkeypatch)
+        second = run_sweep(spec, resume=True)
+        lines = progress.read_text().splitlines()
+        assert len(lines) == 4
+        assert {ScenarioResult.from_dict(json.loads(line)).key for line in lines} == {
+            r.key for r in first
+        }
+        assert len(solved) == 1
+        assert without_wall_time(second) == without_wall_time(first)
+
+    def test_corrupt_earlier_line_raises(self, tmp_path):
+        spec = self.spec(tmp_path)
+        run_sweep(spec)
+        progress = tmp_path / "cells.jsonl"
+        lines = progress.read_text().splitlines()
+        lines[1] = lines[1][:20]
+        progress.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValidationError, match="line 2"):
+            run_sweep(spec, resume=True)
 
 
 class TestRunCell:

@@ -184,6 +184,9 @@ class TestAggregate:
         nameplates = [p.nameplate_mw for p in catalog.parcels]
         assert indices == [1, 2]
         assert nameplates == sorted(nameplates)
+        assert catalog[2] is catalog.parcels[1]
+        with pytest.raises(KeyError, match="no parcel with site index 3"):
+            catalog[3]
 
     def test_partial_edge_blocks(self):
         comp = CompositeMap(np.zeros((70, 64), dtype=int), 90.0)
