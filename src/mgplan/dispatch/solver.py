@@ -1,5 +1,4 @@
-"""Dispatch optimizer: LP relaxation with an implied-binary check and a
-branch-and-bound fallback, plus a MILP backend on the same contract.
+"""Dispatch optimizer: one LP, an exclusivity check, and a MILP fallback.
 
 The objective minimizes grid-caused emissions, written per hour as the
 hourly emission rate scaled by the grid share of load; the percent
@@ -7,16 +6,19 @@ reduction is recovered afterward. Tiny tie-break penalties on total grid
 draw and charger power keep solutions deterministic among
 emission-optimal alternatives (prefer less grid, less throughput).
 
-With an efficiency below one and free curtailment, simultaneous
-charge/discharge is strictly dominated, so the LP relaxation almost
-always lands on solutions where the charge/discharge exclusivity holds
-and the binaries are implied. Branch-and-bound on the discharge
-indicator of the most-violating hour covers the remaining cases and is
-exercised directly by tests.
+The LP relaxes the hourly charge/discharge exclusivity to the projected
+form ``discharge + charge <= power limit``. With an efficiency below one
+and free curtailment, simultaneous charge and discharge is strictly
+dominated, so the LP optimum almost always charges or discharges, never
+both, in every hour. Such an answer is feasible for the exact model and
+hence optimal for it; it is returned as proven optimal. Otherwise the
+same model, with one explicit binary per hour, goes to the HiGHS MILP
+solver for the time that is left.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -49,36 +51,67 @@ class SolveOptions:
     time_limit_s: float = 300.0
     backend: str = BACKEND_AUTO
     feasibility_tol: float = 1e-6
-    integrality_tol: float = 1e-5
     tie_break_eps: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.backend not in (BACKEND_AUTO, BACKEND_MILP):
             raise ValidationError(f"unknown solver backend {self.backend!r}")
+        if not (math.isfinite(self.time_limit_s) and self.time_limit_s > 0):
+            raise ValidationError(
+                f"solver time limit must be finite and positive: {self.time_limit_s}"
+            )
+        if not self.gap_tol >= 0:
+            raise ValidationError(f"solver gap tolerance must be >= 0: {self.gap_tol}")
+        if not self.feasibility_tol > 0:
+            raise ValidationError(
+                f"solver feasibility tolerance must be > 0: {self.feasibility_tol}"
+            )
+        if not self.tie_break_eps >= 0:
+            raise ValidationError(
+                f"solver tie-break penalty must be >= 0: {self.tie_break_eps}"
+            )
 
 
 def solve_dispatch(
     instance: DispatchInstance, options: SolveOptions | None = None
 ) -> DispatchResult:
-    """Solve the yearly dispatch problem to proven optimality or a gap."""
+    """Solve the yearly dispatch problem to proven optimality or a gap.
+
+    The LP is solved once. If no hour both charges and discharges by more
+    than ``feasibility_tol`` (the product of the two powers, in MW²), the
+    answer is exact and is returned as proven optimal with gap 0.
+    Otherwise the same model goes to the MILP solver, which stops at a
+    relative gap of ``gap_tol``; ``backend="milp"`` skips the LP and goes
+    there directly. ``time_limit_s`` bounds the LP and the MILP together.
+    An infeasible model, or a time limit hit before any dispatch is found,
+    raises ``SolverFailure``; a MILP stopped by the time limit with a
+    feasible dispatch returns it with its gap.
+    """
     options = options or SolveOptions()
     if instance.battery.e_rated_mwh == 0:
         return _solve_without_battery(instance)
     lp = _DispatchLp(instance, options.tie_break_eps)
     if options.backend == BACKEND_MILP:
-        x, gap, status = _solve_milp(lp, options)
+        x, gap, status = _solve_milp(lp, options.gap_tol, options.time_limit_s)
     else:
-        x, gap, status = _solve_branch_and_bound(lp, options)
+        deadline = time.monotonic() + options.time_limit_s
+        x = lp.solve(options.time_limit_s)
+        if lp.exclusivity_violations(x).max() <= options.feasibility_tol:
+            gap, status = 0.0, STATUS_OPTIMAL
+        else:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise SolverFailure(
+                    "time limit reached before any feasible dispatch was found"
+                )
+            x, gap, status = _solve_milp(lp, options.gap_tol, remaining)
     return _assemble_result(instance, x.reshape(instance.horizon, _NV), status, gap)
 
 
 class _DispatchLp:
-    """Sparse LP relaxation over 9 continuous variables per hour.
-
-    The relaxed exclusivity constraint is the projected form
-    ``discharge + charge <= power limit``; branching tightens it by
-    forcing one side to zero.
-    """
+    """Sparse LP over 9 continuous variables per hour, with the
+    charge/discharge exclusivity relaxed to ``discharge + charge <= power
+    limit``."""
 
     def __init__(self, instance: DispatchInstance, tie_break_eps: float):
         self.instance = instance
@@ -159,99 +192,35 @@ class _DispatchLp:
         self.c = c
         self.base = base
 
-    def solve(self, forced: dict[int, int], time_limit_s: float):
-        """Solve the relaxation with branching decisions applied as bounds.
-
-        ``forced[t] = 1`` forbids charging in hour t, ``forced[t] = 0``
-        forbids discharging.
-        """
-        ub = self.ub
-        if forced:
-            ub = ub.copy()
-            for hour, flag in forced.items():
-                col = self.base[hour] + (_PB if flag == 1 else _PBL)
-                ub[col] = 0.0
-        return linprog(
+    def solve(self, time_limit_s: float) -> np.ndarray:
+        """Solve the LP and return its optimal ``x``."""
+        res = linprog(
             self.c,
             A_ub=self.a_ub,
             b_ub=self.b_ub,
             A_eq=self.a_eq,
             b_eq=self.b_eq,
-            bounds=np.column_stack([self.lb, ub]),
+            bounds=np.column_stack([self.lb, self.ub]),
             method="highs",
             options={
                 "presolve": True,
-                "time_limit": max(time_limit_s, 1e-3),
+                "time_limit": time_limit_s,
                 "primal_feasibility_tolerance": 1e-9,
                 "dual_feasibility_tolerance": 1e-9,
             },
         )
+        _raise_if_infeasible(res)
+        if res.status != 0 or res.x is None:
+            raise SolverFailure(f"dispatch LP failed: {res.message}")
+        return res.x
 
     def exclusivity_violations(self, x: np.ndarray) -> np.ndarray:
         X = x.reshape(self.instance.horizon, _NV)
         return X[:, _PBL] * X[:, _PB]
 
 
-def _solve_branch_and_bound(lp: _DispatchLp, options: SolveOptions):
-    """Depth-first branch-and-bound on the hourly discharge indicator.
-
-    A node whose relaxation already satisfies charge/discharge
-    exclusivity is integral in the implied-binary sense and becomes the
-    incumbent; nodes are pruned against the incumbent bound.
-    """
-    deadline = time.monotonic() + options.time_limit_s
-
-    def remaining() -> float:
-        return deadline - time.monotonic()
-
-    res = lp.solve({}, options.time_limit_s)
-    _check_lp_status(res)
-    stack: list[tuple[dict[int, int], float]] = [({}, res.fun)]
-    root_cache = res
-    incumbent_x: np.ndarray | None = None
-    incumbent_fun = np.inf
-    open_bounds: list[float] = []
-
-    while stack:
-        forced, parent_bound = stack.pop()
-        if parent_bound >= _prune_threshold(incumbent_fun, options.gap_tol):
-            continue
-        if remaining() <= 0:
-            open_bounds.append(parent_bound)
-            continue
-        if root_cache is not None and not forced:
-            res = root_cache
-            root_cache = None
-        else:
-            res = lp.solve(forced, remaining())
-            if res.status == 2:
-                continue
-            _check_lp_status(res)
-        if res.fun >= _prune_threshold(incumbent_fun, options.gap_tol):
-            continue
-        violations = lp.exclusivity_violations(res.x)
-        worst = int(np.argmax(violations))
-        if violations[worst] <= options.feasibility_tol:
-            incumbent_x = res.x
-            incumbent_fun = res.fun
-            continue
-        X = res.x.reshape(-1, _NV)
-        prefer = 1 if X[worst, _PBL] >= X[worst, _PB] else 0
-        stack.append(({**forced, worst: 1 - prefer}, res.fun))
-        stack.append(({**forced, worst: prefer}, res.fun))
-
-    if incumbent_x is None:
-        raise SolverFailure("time limit reached before any feasible dispatch was found")
-    if open_bounds:
-        lower = min(open_bounds)
-        gap = max(0.0, (incumbent_fun - lower) / max(abs(incumbent_fun), 1e-12))
-        if gap > options.gap_tol:
-            return incumbent_x, gap, STATUS_GAP
-    return incumbent_x, 0.0, STATUS_OPTIMAL
-
-
-def _solve_milp(lp: _DispatchLp, options: SolveOptions):
-    """External MILP backend: explicit binaries, one per hour."""
+def _solve_milp(lp: _DispatchLp, gap_tol: float, time_limit_s: float):
+    """The LP's model with explicit binaries, one per hour, solved by HiGHS."""
     T = lp.instance.horizon
     n = T * _NV
     pmax = lp.instance.battery.power_limit_mw
@@ -283,35 +252,24 @@ def _solve_milp(lp: _DispatchLp, options: SolveOptions):
         bounds=Bounds(lb, ub),
         options={
             "presolve": True,
-            "mip_rel_gap": options.gap_tol,
-            "time_limit": options.time_limit_s,
+            "mip_rel_gap": gap_tol,
+            "time_limit": time_limit_s,
         },
     )
-    if res.status == 2:
-        raise SolverFailure(
-            "internal error: dispatch model reported infeasible despite unbounded grid"
-        )
+    _raise_if_infeasible(res)
     if res.x is None:
         raise SolverFailure(f"MILP backend failed: {res.message}")
     gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
-    if res.status == 0 and gap <= options.gap_tol:
+    if res.status == 0 and gap <= gap_tol:
         return res.x[:n], gap, STATUS_OPTIMAL
     return res.x[:n], gap, STATUS_GAP
 
 
-def _check_lp_status(res) -> None:
+def _raise_if_infeasible(res) -> None:
     if res.status == 2:
         raise SolverFailure(
             "internal error: dispatch model reported infeasible despite unbounded grid"
         )
-    if res.status != 0 or res.x is None:
-        raise SolverFailure(f"LP relaxation failed: {res.message}")
-
-
-def _prune_threshold(incumbent_fun: float, gap_tol: float) -> float:
-    if not np.isfinite(incumbent_fun):
-        return np.inf
-    return incumbent_fun - max(gap_tol * abs(incumbent_fun), 1e-12)
 
 
 def _solve_without_battery(instance: DispatchInstance) -> DispatchResult:

@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -85,10 +86,37 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for axis_name in ("sites", "nameplate_scales", "battery_sizes_mwh",
-                          "chemistries", "shift_hours"):
-            if not getattr(self, axis_name):
+        for axis_name, values in (
+            ("sites", [site.site_index for site in self.sites]),
+            ("nameplate_scales", self.nameplate_scales),
+            ("battery_sizes_mwh", self.battery_sizes_mwh),
+            ("chemistries", self.chemistries),
+            ("shift_hours", self.shift_hours),
+        ):
+            if not values:
                 raise ValidationError(f"sweep axis {axis_name!r} must be non-empty")
+            repeated = sorted(v for v, n in Counter(values).items() if n > 1)
+            if repeated:
+                raise ValidationError(f"sweep axis {axis_name!r} repeats {repeated}")
+        for scale in self.nameplate_scales:
+            if not scale >= 0:
+                raise ValidationError(f"negative nameplate scale: {scale}")
+        for size in self.battery_sizes_mwh:
+            if not size >= 0:
+                raise ValidationError(f"negative battery size: {size}")
+        horizon = self.load.horizon
+        for shift in self.shift_hours:
+            if abs(shift) >= horizon:
+                raise ValidationError(
+                    f"shift magnitude {abs(shift)} must be < horizon {horizon}"
+                )
+        for name, profile in [("carbon", self.carbon)] + [
+            (f"site {site.site_index}", site.profile) for site in self.sites
+        ]:
+            if profile.horizon != horizon:
+                raise ValidationError(
+                    f"{name} profile has {profile.horizon} hours, the load {horizon}"
+                )
         if self.load.total() <= 0:
             raise ValidationError("sweep load profile has no positive hours")
         for chem in self.chemistries:
@@ -97,10 +125,7 @@ class SweepSpec:
 
     @cached_property
     def _sites_by_index(self) -> dict[int, SweepSite]:
-        by_index: dict[int, SweepSite] = {}
-        for site in self.sites:
-            by_index.setdefault(site.site_index, site)
-        return by_index
+        return {site.site_index: site for site in self.sites}
 
     def n_cells(self) -> int:
         return (
@@ -497,6 +522,9 @@ def run_sweep(
     return [done[key] for key in keys]
 
 
+_SOLVER_KEYS = frozenset(f.name for f in fields(SolveOptions))
+
+
 def load_sweep_spec(source: str | Path) -> SweepSpec:
     """Read a sweep spec from JSON; relative paths resolve against it."""
     path = Path(source)
@@ -543,6 +571,11 @@ def load_sweep_spec(source: str | Path) -> SweepSpec:
         chemistry_params, stack = costs_mod.load_cost_config(base / payload["cost_config"])
 
     solver_fields = payload.get("solver", {})
+    unknown = sorted(set(solver_fields) - _SOLVER_KEYS)
+    if unknown:
+        raise ValidationError(
+            f"unknown solver option(s) {unknown}; expected {sorted(_SOLVER_KEYS)}"
+        )
     solver = SolveOptions(**solver_fields)
 
     fleet_electric = (

@@ -2,6 +2,7 @@
 
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mgplan import (
     BatterySpec,
     HourlyProfile,
     SolveOptions,
+    SolverFailure,
     UNIT_KG_PER_HOUR,
     UNIT_MW,
     ValidationError,
@@ -225,30 +227,65 @@ class TestMonotonicity:
         assert all(b >= a - 1e-7 for a, b in zip(values, values[1:]))
 
 
-class TestBranchAndBound:
-    def test_forced_branching_matches_relaxation(self, monkeypatch):
-        """Make every relaxation look 'violating' so the search must
-        branch to the bottom, then check it still finds the optimum."""
+class TestSolveOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time_limit_s", 0.0),
+            ("time_limit_s", -1.0),
+            ("time_limit_s", float("inf")),
+            ("time_limit_s", float("nan")),
+            ("gap_tol", -1e-4),
+            ("feasibility_tol", 0.0),
+            ("tie_break_eps", -1e-6),
+        ],
+    )
+    def test_invalid_options_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field.split("_")[0]):
+            SolveOptions(**{field: value})
+
+
+class TestMilpFallback:
+    def test_violating_lp_falls_back_to_milp(self, monkeypatch):
+        """Make the LP answer look 'violating' so the solver must reject
+        it and hand the model to the MILP, then check the optimum."""
         instance = toy_instance()
         reference = solve_dispatch(instance).renewable_kg
 
-        original = solver_mod._DispatchLp.exclusivity_violations
+        original_violations = solver_mod._DispatchLp.exclusivity_violations
+        checked = []
 
         def inflated(self, x):
-            v = original(self, x)
-            return v + 1e-3  # force branching on every node
+            v = original_violations(self, x) + 1e-3
+            checked.append(v.max())
+            return v
+
+        original_milp = solver_mod._solve_milp
+        milp_calls = []
+
+        def counting_milp(*args, **kwargs):
+            milp_calls.append(args)
+            return original_milp(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod._DispatchLp, "exclusivity_violations", inflated)
-        result = solve_dispatch(
-            instance, SolveOptions(feasibility_tol=2e-3, gap_tol=1e-9)
-        )
+        monkeypatch.setattr(solver_mod, "_solve_milp", counting_milp)
+        options = SolveOptions(feasibility_tol=5e-4, gap_tol=1e-9)
+        result = solve_dispatch(instance, options)
+        assert len(checked) == 1 and checked[0] > options.feasibility_tol
+        assert len(milp_calls) == 1
         assert result.renewable_kg == pytest.approx(reference, abs=1e-6)
         assert result.status == STATUS_OPTIMAL
 
-    def test_time_limit_failure(self):
-        instance = toy_instance()
-        with pytest.raises(Exception):
-            solve_dispatch(instance, SolveOptions(time_limit_s=-1.0))
+    def test_time_limit_failure(self, monkeypatch):
+        """A HiGHS call that reports its time limit (status 1) fails the
+        solve rather than returning a partial answer."""
+
+        def timed_out(*args, **kwargs):
+            return SimpleNamespace(status=1, x=None, message="Time limit reached")
+
+        monkeypatch.setattr(solver_mod, "linprog", timed_out)
+        with pytest.raises(SolverFailure, match="Time limit reached"):
+            solve_dispatch(toy_instance())
 
 
 class TestMetricsOps:

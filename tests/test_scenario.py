@@ -146,6 +146,31 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match="non-empty"):
             small_spec(battery_sizes_mwh=())
 
+    def test_repeated_site_index_rejected(self):
+        site = small_spec().sites[0]
+        other = SweepSite(site.site_index, "site-1b", 10.0, site.profile)
+        with pytest.raises(ValidationError, match=r"'sites' repeats \[1\]"):
+            small_spec(sites=(site, other))
+
+    def test_profile_horizon_mismatch_rejected(self):
+        site = small_spec().sites[0]
+        short = SweepSite(2, "short", 10.0, HourlyProfile(site.profile.values[:24], UNIT_MW))
+        with pytest.raises(ValidationError, match="site 2 profile has 24 hours, the load 48"):
+            small_spec(sites=(site, short))
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("nameplate_scales", (1.0, 0.5, 1.0)),
+            ("battery_sizes_mwh", (0.0, 20.0, 20.0)),
+            ("chemistries", ("LFP", "LFP")),
+            ("shift_hours", (0, 3, 0)),
+        ],
+    )
+    def test_repeated_axis_value_rejected(self, axis, values):
+        with pytest.raises(ValidationError, match=f"'{axis}' repeats"):
+            small_spec(**{axis: values})
+
 
 DISPATCH_FIELDS = (
     "reduction_pct", "baseline_kg", "renewable_kg", "util_grid", "util_solar",
@@ -356,28 +381,67 @@ class TestExport:
         assert [r.to_dict() for r in back] == [r.to_dict() for r in results]
 
 
+def write_spec(tmp_path, **overrides):
+    """Write a 24-hour sweep spec and its profiles; return the spec path."""
+    hours = 24
+    load, solar, carbon = synthetic_year(hours=hours, load_mw=4.0, solar_nameplate_mw=1.0)
+    from mgplan import save_profile
+
+    save_profile(load, tmp_path / "load.csv")
+    save_profile(solar, tmp_path / "solar.csv")
+    save_profile(carbon, tmp_path / "carbon.csv")
+    spec_payload = {
+        "load": "load.csv",
+        "carbon": "carbon.csv",
+        "hours": hours,
+        "sites": [{"profile": "solar.csv", "nameplate_mw": 5.0, "label": "s1"}],
+        "battery_sizes_mwh": [0.0, 4.0],
+        "chemistries": ["LFP"],
+        "output_dir": "out",
+        "solver": {"time_limit_s": 30.0},
+        **overrides,
+    }
+    (tmp_path / "sweep.json").write_text(json.dumps(spec_payload))
+    return tmp_path / "sweep.json"
+
+
 class TestSweepSpecFile:
     def test_load_from_json(self, tmp_path):
-        hours = 24
-        load, solar, carbon = synthetic_year(hours=hours, load_mw=4.0, solar_nameplate_mw=1.0)
-        from mgplan import save_profile
-
-        save_profile(load, tmp_path / "load.csv")
-        save_profile(solar, tmp_path / "solar.csv")
-        save_profile(carbon, tmp_path / "carbon.csv")
-        spec_payload = {
-            "load": "load.csv",
-            "carbon": "carbon.csv",
-            "hours": hours,
-            "sites": [{"profile": "solar.csv", "nameplate_mw": 5.0, "label": "s1"}],
-            "battery_sizes_mwh": [0.0, 4.0],
-            "chemistries": ["LFP"],
-            "output_dir": "out",
-            "solver": {"time_limit_s": 30.0},
-        }
-        (tmp_path / "sweep.json").write_text(json.dumps(spec_payload))
-        spec = load_sweep_spec(tmp_path / "sweep.json")
+        spec = load_sweep_spec(write_spec(tmp_path))
         assert spec.n_cells() == 2
         results = run_sweep(spec)
         assert len(results) == 2
         assert (tmp_path / "out" / "cells.jsonl").exists()
+
+    @pytest.mark.parametrize("key", ["integrality_tol", "time_limit"])
+    def test_unknown_solver_key_rejected(self, tmp_path, key):
+        path = write_spec(tmp_path, solver={"time_limit_s": 30.0, key: 1.0})
+        with pytest.raises(ValidationError, match=f"unknown solver option.*'{key}'"):
+            load_sweep_spec(path)
+
+    def test_default_site_index_collision_rejected(self, tmp_path):
+        """The second entry's default index (position + 1 = 2) collides with
+        the first entry's explicit index 2; neither site may be dropped."""
+        sites = [
+            {"profile": "solar.csv", "nameplate_mw": 5.0, "site_index": 2},
+            {"profile": "solar.csv", "nameplate_mw": 8.0},
+        ]
+        with pytest.raises(ValidationError, match=r"'sites' repeats \[2\]"):
+            load_sweep_spec(write_spec(tmp_path, sites=sites))
+
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            ("shift_hours", [0, 24], "shift magnitude 24"),
+            ("shift_hours", [-24], "shift magnitude 24"),
+            ("nameplate_scales", [1.0, -0.5], "negative nameplate scale"),
+            ("battery_sizes_mwh", [0.0, -5.0], "negative battery size"),
+        ],
+    )
+    def test_axis_ranges_rejected_before_any_solve(
+        self, tmp_path, monkeypatch, axis, values, message
+    ):
+        solved = count_solves(monkeypatch)
+        with pytest.raises(ValidationError, match=message):
+            load_sweep_spec(write_spec(tmp_path, **{axis: values}))
+        assert solved == []
