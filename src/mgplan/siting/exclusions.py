@@ -2,8 +2,10 @@
 
 Each geospatial layer is converted to a binary decision layer: 0 marks a
 cell suitable for siting, 1 marks a violation of that layer's criterion.
-Violations can be buffered outward by a Euclidean distance, and decision
-layers are summed into a composite map whose zero cells are viable.
+Violations can be buffered outward by a Euclidean distance, computed with
+an exact distance transform whose cost does not grow with the distance,
+and decision layers are summed into a composite map whose zero cells are
+viable.
 """
 
 from __future__ import annotations
@@ -112,23 +114,28 @@ def apply_exclusion_rule(layer: GridRaster, rule: ExclusionRule) -> GridRaster:
 
 
 def buffer_violations(binary: GridRaster, distance_m: float) -> GridRaster:
-    """Dilate violations by a Euclidean disc of the given distance.
+    """Mark every cell within the given Euclidean distance of a violation.
 
-    The disc radius in cells is ceil(distance / cell size); a cell offset
-    (di, dj) belongs to the disc when di^2 + dj^2 <= radius^2.
+    The radius in cells is ceil(distance / cell size). A cell is marked
+    when its exact Euclidean distance transform to the nearest violating
+    cell is at most that radius. This is the same disc as dilating by the
+    cell offsets (di, dj) with di^2 + dj^2 <= radius^2: squared distances
+    are integers, so sqrt(k) <= radius exactly when k <= radius^2. The
+    cost is linear in the number of cells, whatever the radius.
     """
     if distance_m < 0:
         raise ValidationError(f"negative buffer distance: {distance_m}")
     if not binary.is_binary():
         raise ValidationError("buffer_violations requires a binary decision layer")
     radius = math.ceil(distance_m / binary.cell_size_m)
-    if radius == 0:
+    violated = binary.cells.astype(bool)
+    # With no violating cell the transform has no target and returns
+    # meaningless distances.
+    if radius == 0 or not violated.any():
         return binary
-    offsets = np.arange(-radius, radius + 1)
-    disc = offsets[:, None] ** 2 + offsets[None, :] ** 2 <= radius**2
-    dilated = ndimage.binary_dilation(binary.cells.astype(bool), structure=disc)
+    buffered = ndimage.distance_transform_edt(~violated) <= radius
     return GridRaster(
-        cells=dilated.astype(np.float64),
+        cells=buffered.astype(np.float64),
         cell_size_m=binary.cell_size_m,
         name=binary.name,
         xllcorner=binary.xllcorner,

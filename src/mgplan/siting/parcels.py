@@ -4,6 +4,26 @@ The composite map is tiled into square blocks; the viable land within a
 block becomes a candidate parcel with a technical-potential nameplate
 capacity (viable area times a power-density scalar). Sites are numbered
 in order of increasing nameplate capacity.
+
+Catalog JSON, as written by ``catalog_to_json`` and read by
+``catalog_from_json``::
+
+    {
+      "block_cells": int,
+      "cell_size_m": float,
+      "power_density_mw_per_km2": float,
+      "profiles": [{"unit": str, "label": str, "values": [float, ...]}, ...],
+      "parcels": [
+        {"site_index": int, "block_row": int, "block_col": int,
+         "viable_area_km2": float, "nameplate_mw": float,
+         "profile": int | null},
+        ...
+      ]
+    }
+
+``profiles`` holds each distinct representative profile once. A parcel's
+``profile`` is the position of its representative profile in that list,
+or null when it has none. Site indices are unique.
 """
 
 from __future__ import annotations
@@ -41,6 +61,13 @@ class SiteCatalog:
     cell_size_m: float
     power_density_mw_per_km2: float
 
+    def __post_init__(self) -> None:
+        seen: set[int] = set()
+        for parcel in self.parcels:
+            if parcel.site_index in seen:
+                raise ValidationError(f"catalog repeats site index {parcel.site_index}")
+            seen.add(parcel.site_index)
+
     def __len__(self) -> int:
         return len(self.parcels)
 
@@ -52,10 +79,7 @@ class SiteCatalog:
 
     @cached_property
     def _by_index(self) -> dict[int, Parcel]:
-        by_index: dict[int, Parcel] = {}
-        for parcel in self.parcels:
-            by_index.setdefault(parcel.site_index, parcel)
-        return by_index
+        return {parcel.site_index: parcel for parcel in self.parcels}
 
 
 def aggregate_parcels(
@@ -137,29 +161,37 @@ def attach_representative_profiles(
 
 
 def catalog_to_json(catalog: SiteCatalog, dest: str | Path | None = None) -> str:
+    """Serialise the catalog (schema in the module docstring), writing each
+    distinct profile object once; also write it to ``dest`` if given."""
+    distinct = {
+        id(p.representative_profile): p.representative_profile
+        for p in catalog.parcels
+        if p.representative_profile is not None
+    }
+    positions = {key: n for n, key in enumerate(distinct)}
+    parcels = [
+        {
+            "site_index": p.site_index,
+            "block_row": p.block_row,
+            "block_col": p.block_col,
+            "viable_area_km2": p.viable_area_km2,
+            "nameplate_mw": p.nameplate_mw,
+            "profile": (
+                None if p.representative_profile is None
+                else positions[id(p.representative_profile)]
+            ),
+        }
+        for p in catalog.parcels
+    ]
     payload = {
         "block_cells": catalog.block_cells,
         "cell_size_m": catalog.cell_size_m,
         "power_density_mw_per_km2": catalog.power_density_mw_per_km2,
-        "parcels": [
-            {
-                "site_index": p.site_index,
-                "block_row": p.block_row,
-                "block_col": p.block_col,
-                "viable_area_km2": p.viable_area_km2,
-                "nameplate_mw": p.nameplate_mw,
-                "representative_profile": (
-                    None
-                    if p.representative_profile is None
-                    else {
-                        "unit": p.representative_profile.unit,
-                        "label": p.representative_profile.label,
-                        "values": p.representative_profile.values.tolist(),
-                    }
-                ),
-            }
-            for p in catalog.parcels
+        "profiles": [
+            {"unit": profile.unit, "label": profile.label, "values": profile.values.tolist()}
+            for profile in distinct.values()
         ],
+        "parcels": parcels,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if dest is not None:
@@ -168,17 +200,32 @@ def catalog_to_json(catalog: SiteCatalog, dest: str | Path | None = None) -> str
 
 
 def catalog_from_json(source: str | Path) -> SiteCatalog:
+    """Read a catalog written by ``catalog_to_json``. Parcels that refer to
+    one profile share one ``HourlyProfile``."""
     path = Path(source)
     payload = json.loads(path.read_text(encoding="utf-8"))
+    if "profiles" not in payload:
+        raise ValidationError(
+            f"{path.name}: catalog has no 'profiles' list; catalogs with an inline "
+            f"'representative_profile' per parcel are no longer read, re-run "
+            f"`mgplan site` to rewrite it"
+        )
+    profiles = [
+        HourlyProfile(
+            np.asarray(raw["values"], dtype=np.float64),
+            raw.get("unit", UNIT_CAPACITY_FACTOR),
+            raw.get("label", ""),
+        )
+        for raw in payload["profiles"]
+    ]
     parcels = []
     for entry in payload["parcels"]:
-        profile = None
-        raw = entry.get("representative_profile")
-        if raw is not None:
-            profile = HourlyProfile(
-                np.asarray(raw["values"], dtype=np.float64),
-                raw.get("unit", UNIT_CAPACITY_FACTOR),
-                raw.get("label", ""),
+        ref = entry["profile"]
+        # bool is an int subclass; a JSON true is no position.
+        if ref is not None and not (type(ref) is int and 0 <= ref < len(profiles)):
+            raise ValidationError(
+                f"{path.name}: site {entry['site_index']} refers to profile {ref!r}, "
+                f"but the catalog lists {len(profiles)} profile(s)"
             )
         parcels.append(
             Parcel(
@@ -187,7 +234,7 @@ def catalog_from_json(source: str | Path) -> SiteCatalog:
                 block_col=int(entry["block_col"]),
                 viable_area_km2=float(entry["viable_area_km2"]),
                 nameplate_mw=float(entry["nameplate_mw"]),
-                representative_profile=profile,
+                representative_profile=None if ref is None else profiles[ref],
             )
         )
     return SiteCatalog(

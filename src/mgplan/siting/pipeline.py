@@ -55,11 +55,16 @@ def load_siting_config(source: str | Path) -> SitingConfig:
         raise ValidationError(f"{path.name}: config must list at least one layer")
     base = path.parent
     layers = []
-    for entry in payload["layers"]:
+    for n, entry in enumerate(payload["layers"], start=1):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{path.name}: layer {n} must be an object")
+        label = entry.get("name", entry.get("path", f"#{n}"))
+        for key in ("path", "mode"):
+            if key not in entry:
+                raise ValidationError(f"{path.name}: layer {label!r} has no {key!r}")
         if "buffer_m" in entry and "buffer_miles" in entry:
             raise ValidationError(
-                f"layer {entry.get('name', entry['path'])!r}: give buffer_m or "
-                f"buffer_miles, not both"
+                f"layer {label!r}: give buffer_m or buffer_miles, not both"
             )
         buffer_m = float(entry.get("buffer_m", 0.0))
         if "buffer_miles" in entry:
@@ -77,13 +82,21 @@ def load_siting_config(source: str | Path) -> SitingConfig:
     )
     return SitingConfig(
         layers=tuple(layers),
-        block_cells=int(payload.get("block_cells", DEFAULT_BLOCK_CELLS)),
+        block_cells=_positive_int(payload, "block_cells", DEFAULT_BLOCK_CELLS, path),
         power_density_mw_per_km2=float(
             payload.get("power_density_mw_per_km2", DEFAULT_POWER_DENSITY_MW_PER_KM2)
         ),
         profile_paths=profile_paths,
-        profile_hours=int(payload.get("profile_hours", 8760)),
+        profile_hours=_positive_int(payload, "profile_hours", 8760, path),
     )
+
+
+def _positive_int(payload: dict, key: str, default: int, path: Path) -> int:
+    value = payload.get(key, default)
+    # bool is an int subclass; a JSON true is not a count.
+    if type(value) is not int or value < 1:
+        raise ValidationError(f"{path.name}: {key!r} must be a positive integer, got {value!r}")
+    return value
 
 
 def run_siting(config: SitingConfig) -> SiteCatalog:

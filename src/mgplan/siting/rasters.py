@@ -54,34 +54,53 @@ class GridRaster:
         return bool(np.all((self.cells == 0.0) | (self.cells == 1.0)))
 
 
+_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "xllcenter", "yllcenter",
+                "cellsize", "nodata_value")
+
+
 def read_ascii_grid(source: Source, unit: str | None = None, name: str = "") -> GridRaster:
     """Parse an ESRI ASCII grid (ncols/nrows/xllcorner/yllcorner/cellsize
-    header, optional NODATA_value, whitespace-separated cell rows)."""
+    header, optional NODATA_value, whitespace-separated cell values).
+
+    The header is read from the leading tokens; the body is parsed in one
+    C-level pass and may lay its values out with any whitespace.
+    ``ncols`` and ``nrows`` must be positive integers.
+    """
     text, default_name = _read_text(source)
-    tokens = text.split()
+    # Split off no more than a full header's worth of tokens; the last
+    # piece is the unsplit rest of the text.
+    tokens = text.split(maxsplit=2 * len(_HEADER_KEYS))
     header: dict[str, float] = {}
     i = 0
-    keys = {"ncols", "nrows", "xllcorner", "yllcorner", "xllcenter", "yllcenter",
-            "cellsize", "nodata_value"}
-    while i + 1 < len(tokens) and tokens[i].lower() in keys:
-        header[tokens[i].lower()] = float(tokens[i + 1])
+    while i + 1 < len(tokens) and tokens[i].lower() in _HEADER_KEYS:
+        key = tokens[i].lower()
+        try:
+            header[key] = float(tokens[i + 1])
+        except ValueError:
+            raise ValidationError(
+                f"ASCII grid header {key!r} is not a number: {tokens[i + 1]!r}"
+            ) from None
         i += 2
     for required in ("ncols", "nrows", "cellsize"):
         if required not in header:
             raise ValidationError(f"ASCII grid header missing {required!r}")
+    for key in ("ncols", "nrows"):
+        if not (header[key].is_integer() and header[key] >= 1):
+            raise ValidationError(
+                f"ASCII grid header {key!r} must be a positive integer, got {header[key]:g}"
+            )
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
-    data = tokens[i:]
-    if len(data) != nrows * ncols:
-        raise ValidationError(
-            f"ASCII grid body has {len(data)} values, expected {nrows * ncols}"
-        )
     try:
-        cells = np.array(data, dtype=np.float64).reshape(nrows, ncols)
+        data = np.fromstring(" ".join(tokens[i:]), dtype=np.float64, sep=" ")
     except ValueError as exc:
         raise ValidationError(f"unparseable ASCII grid value: {exc}") from None
+    if data.size != nrows * ncols:
+        raise ValidationError(
+            f"ASCII grid body has {data.size} values, expected {nrows * ncols}"
+        )
     return GridRaster(
-        cells=cells,
+        cells=data.reshape(nrows, ncols),
         cell_size_m=header["cellsize"],
         nodata=header.get("nodata_value"),
         unit=unit,

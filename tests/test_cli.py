@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mgplan import save_profile
+from mgplan import (
+    HourlyProfile,
+    UNIT_CAPACITY_FACTOR,
+    load_sweep_spec,
+    representative_profile,
+    save_profile,
+)
 from mgplan.cli import EXIT_IO, EXIT_VALIDATION, main
 from mgplan.siting import GridRaster, write_ascii_grid
 
@@ -146,6 +152,80 @@ class TestSiteCommand:
         assert len(payload["parcels"]) >= 1
         nameplates = [p["nameplate_mw"] for p in payload["parcels"]]
         assert nameplates == sorted(nameplates)
+
+    @pytest.mark.parametrize(
+        "layer,extra,match",
+        [
+            ({"path": "slope.asc", "name": "slope"}, {}, "layer 'slope' has no 'mode'"),
+            ({"path": "slope.asc", "mode": "binary"}, {"block_cells": 64.7},
+             "'block_cells' must be a positive integer"),
+        ],
+        ids=["no-mode", "fractional-block-cells"],
+    )
+    def test_bad_config_exit_code(self, runner, tmp_path, layer, extra, match):
+        (tmp_path / "rules.json").write_text(json.dumps({"layers": [layer], **extra}))
+        result = runner.invoke(
+            main,
+            ["site", "--config", str(tmp_path / "rules.json"), "--out", str(tmp_path / "c.json")],
+        )
+        assert result.exit_code == EXIT_VALIDATION
+        assert match in result.output
+        assert not (tmp_path / "c.json").exists()
+
+    def test_catalog_feeds_sweep(self, runner, tmp_path):
+        hours = 48
+        rng = np.random.default_rng(1)
+        blocked = GridRaster((rng.random((16, 16)) < 0.3).astype(float), 90.0)
+        write_ascii_grid(blocked, tmp_path / "blocked.asc")
+        members = [
+            HourlyProfile(0.5 * rng.random(hours), UNIT_CAPACITY_FACTOR, f"member-{k}")
+            for k in range(3)
+        ]
+        for k, member in enumerate(members):
+            save_profile(member, tmp_path / f"cf{k}.csv")
+        config = {
+            "block_cells": 8,
+            "profile_hours": hours,
+            "capacity_factor_profiles": [f"cf{k}.csv" for k in range(3)],
+            "layers": [{"path": "blocked.asc", "name": "blocked", "mode": "binary"}],
+        }
+        (tmp_path / "rules.json").write_text(json.dumps(config))
+        result = runner.invoke(
+            main,
+            ["site", "--config", str(tmp_path / "rules.json"),
+             "--out", str(tmp_path / "catalog.json")],
+        )
+        assert result.exit_code == 0, result.output
+        catalog = json.loads((tmp_path / "catalog.json").read_text())
+        assert len(catalog["profiles"]) == 1
+        assert [p["profile"] for p in catalog["parcels"]] == [0] * 4
+
+        write_profiles(tmp_path, hours=hours)
+        spec = {
+            "load": "load.csv",
+            "carbon": "carbon.csv",
+            "hours": hours,
+            "catalog": "catalog.json",
+            "site_indices": [1, 4],
+            "battery_sizes_mwh": [0.0, 8.0],
+            "output_dir": "out",
+        }
+        (tmp_path / "sweep.json").write_text(json.dumps(spec))
+        sites = load_sweep_spec(tmp_path / "sweep.json").sites
+        assert [site.site_index for site in sites] == [1, 4]
+        assert sites[0].profile is sites[1].profile
+        np.testing.assert_array_equal(
+            sites[0].profile.values, representative_profile(members).values
+        )
+
+        result = runner.invoke(main, ["sweep", "--spec", str(tmp_path / "sweep.json")])
+        assert result.exit_code == 0, result.output
+        rows = json.loads((tmp_path / "out" / "results.json").read_text())
+        nameplates = {p["site_index"]: p["nameplate_mw"] for p in catalog["parcels"]}
+        assert sorted({r["site_index"] for r in rows}) == [1, 4]
+        assert len(rows) == 2 * 2  # sites x battery sizes
+        for row in rows:
+            assert row["nameplate_mw"] == pytest.approx(nameplates[row["site_index"]])
 
 
 class TestSweepAndReportCommands:

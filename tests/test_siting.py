@@ -1,10 +1,12 @@
 """Exclusion layers, buffering, composites, parcels, and the catalog."""
 
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mgplan import (
     CompositeMap,
@@ -26,6 +28,7 @@ from mgplan.siting import (
     attach_representative_profiles,
     catalog_from_json,
     catalog_to_json,
+    load_siting_config,
     read_ascii_grid,
     write_ascii_grid,
 )
@@ -33,6 +36,16 @@ from mgplan.siting import (
 
 def raster(cells, cell_size=90.0, **kwargs):
     return GridRaster(np.asarray(cells, dtype=float), cell_size, **kwargs)
+
+
+def disc_dilation(violated, radius):
+    """Reference buffer: dilate by the disc of integer offsets (di, dj)
+    with di^2 + dj^2 <= radius^2."""
+    if radius == 0:
+        return violated.copy()
+    offsets = np.arange(-radius, radius + 1)
+    disc = offsets[:, None] ** 2 + offsets[None, :] ** 2 <= radius**2
+    return ndimage.binary_dilation(violated, structure=disc)
 
 
 class TestExclusionRule:
@@ -115,6 +128,33 @@ class TestBuffer:
     def test_requires_binary(self):
         with pytest.raises(ValidationError, match="binary"):
             buffer_violations(raster([[0.5]]), 90.0)
+
+    @pytest.mark.parametrize("radius", range(21))
+    def test_matches_disc_dilation_on_random_maps(self, radius):
+        rng = np.random.default_rng(100 + radius)
+        violated = rng.random((37, 53)) < 0.01
+        violated[rng.integers(37), rng.integers(53)] = True
+        # A distance just under the radius still rounds up to it.
+        for distance in {radius * 90.0, max(radius - 0.5, 0.0) * 90.0}:
+            out = buffer_violations(raster(violated), distance)
+            np.testing.assert_array_equal(out.cells.astype(bool), disc_dilation(violated, radius))
+
+    @pytest.mark.parametrize("radius", [1, 3, 20])
+    def test_no_violations(self, radius):
+        out = buffer_violations(raster(np.zeros((9, 11))), radius * 90.0)
+        assert not out.cells.any()
+
+    @pytest.mark.parametrize("radius", [1, 3, 20])
+    def test_all_violated(self, radius):
+        out = buffer_violations(raster(np.ones((9, 11))), radius * 90.0)
+        assert out.cells.all()
+
+    @pytest.mark.parametrize("radius", [1, 2, 5, 12])
+    def test_border_violations(self, radius):
+        violated = np.zeros((24, 31), dtype=bool)
+        violated[0, 0] = violated[-1, 17] = violated[9, -1] = violated[23, 30] = True
+        out = buffer_violations(raster(violated), radius * 90.0)
+        np.testing.assert_array_equal(out.cells.astype(bool), disc_dilation(violated, radius))
 
     @pytest.mark.parametrize("d1,d2", [(0.0, 90.0), (90.0, 180.0), (90.0, 450.0)])
     def test_monotone_in_distance(self, d1, d2):
@@ -280,6 +320,37 @@ class TestAsciiGrid:
         with pytest.raises(ValidationError, match="expected 4"):
             read_ascii_grid(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "key,value,match",
+        [
+            ("ncols", "2.5", "'ncols' must be a positive integer, got 2.5"),
+            ("ncols", "-2", "'ncols' must be a positive integer, got -2"),
+            ("nrows", "-2", "'nrows' must be a positive integer, got -2"),
+            ("ncols", "abc", "'ncols' is not a number: 'abc'"),
+        ],
+        ids=["ncols-fraction", "ncols-negative", "nrows-negative", "ncols-text"],
+    )
+    def test_bad_dimension(self, key, value, match):
+        header = {"ncols": "2", "nrows": "2"}
+        header[key] = value
+        text = (
+            f"ncols {header['ncols']}\nnrows {header['nrows']}\ncellsize 90\n"
+            "1 0\n0 1\n"
+        )
+        with pytest.raises(ValidationError, match=match):
+            read_ascii_grid(io.StringIO(text))
+
+    def test_non_numeric_body_token(self):
+        text = "ncols 2\nnrows 2\ncellsize 90\n1 0\n0 x\n"
+        with pytest.raises(ValidationError, match="unparseable ASCII grid value"):
+            read_ascii_grid(io.StringIO(text))
+
+    def test_one_value_per_line(self):
+        text = "ncols 3\nnrows 2\ncellsize 90\nNODATA_value -9\n1\n2\n-9\n4\n5.5\n6\n"
+        r = read_ascii_grid(io.StringIO(text))
+        np.testing.assert_array_equal(r.cells, [[1.0, 2.0, -9.0], [4.0, 5.5, 6.0]])
+        assert r.nodata == -9.0
+
 
 class TestCatalogJson:
     def test_round_trip_with_profiles(self, tmp_path):
@@ -302,9 +373,148 @@ class TestCatalogJson:
             p0.representative_profile.values, p1.representative_profile.values
         )
 
+    def test_read_back_parcels_share_one_profile(self, tmp_path):
+        counts = np.ones((64, 128), dtype=int)
+        counts[:2, :2] = 0
+        counts[:3, 64:67] = 0
+        catalog = aggregate_parcels(CompositeMap(counts, 90.0))
+        members = [HourlyProfile([0.1, 0.2, 0.3], UNIT_CAPACITY_FACTOR, "pool")]
+        catalog = attach_representative_profiles(catalog, members)
+        path = tmp_path / "catalog.json"
+        catalog_to_json(catalog, path)
+        payload = json.loads(path.read_text())
+        assert payload["profiles"] == [{"unit": "cf", "label": "pool", "values": [0.1, 0.2, 0.3]}]
+        assert [p["profile"] for p in payload["parcels"]] == [0, 0]
+        back = catalog_from_json(path)
+        assert back.parcels == catalog.parcels
+        first, second = (p.representative_profile for p in back.parcels)
+        assert first.values is second.values
+        assert first.label == "pool"
+
+    def test_distinct_profiles_listed_once_each(self, tmp_path):
+        comp = CompositeMap(np.zeros((2, 8), dtype=int), 90.0)
+        catalog = aggregate_parcels(comp, block_cells=2)
+        a = HourlyProfile([0.1, 0.2], UNIT_CAPACITY_FACTOR, "a")
+        b = HourlyProfile([0.1, 0.2], UNIT_CAPACITY_FACTOR, "b")
+        chosen = [a, b, None, a]
+        catalog = dataclasses.replace(catalog, parcels=tuple(
+            dataclasses.replace(parcel, representative_profile=profile)
+            for parcel, profile in zip(catalog.parcels, chosen)
+        ))
+        path = tmp_path / "catalog.json"
+        catalog_to_json(catalog, path)
+        payload = json.loads(path.read_text())
+        assert [entry["label"] for entry in payload["profiles"]] == ["a", "b"]
+        assert [entry["profile"] for entry in payload["parcels"]] == [0, 1, None, 0]
+        back = [p.representative_profile for p in catalog_from_json(path).parcels]
+        assert back[0] is back[3]
+        assert back[1] is not back[0] and back[1].label == "b"
+        assert back[2] is None
+
+    def test_parcels_without_profile(self, tmp_path):
+        counts = np.zeros((8, 8), dtype=int)
+        catalog = aggregate_parcels(CompositeMap(counts, 90.0), block_cells=4)
+        path = tmp_path / "catalog.json"
+        catalog_to_json(catalog, path)
+        payload = json.loads(path.read_text())
+        assert payload["profiles"] == []
+        assert all(p["profile"] is None for p in payload["parcels"])
+        back = catalog_from_json(path)
+        assert back.parcels == catalog.parcels
+        assert all(p.representative_profile is None for p in back.parcels)
+
+    def test_thousand_parcels_with_a_year_profile_under_1mb(self, tmp_path):
+        comp = CompositeMap(np.zeros((2, 2000), dtype=int), 90.0)
+        catalog = aggregate_parcels(comp, block_cells=2)
+        assert len(catalog) == 1000
+        rng = np.random.default_rng(4)
+        members = [HourlyProfile(rng.random(8760), UNIT_CAPACITY_FACTOR) for _ in range(3)]
+        catalog = attach_representative_profiles(catalog, members)
+        path = tmp_path / "catalog.json"
+        catalog_to_json(catalog, path)
+        assert path.stat().st_size < 1_000_000
+        back = catalog_from_json(path)
+        np.testing.assert_array_equal(
+            back.parcels[-1].representative_profile.values,
+            catalog.parcels[-1].representative_profile.values,
+        )
+
+    def _write_payload(self, tmp_path, parcels, profiles=None):
+        payload = {
+            "block_cells": 4,
+            "cell_size_m": 90.0,
+            "power_density_mw_per_km2": 36.0,
+            "parcels": [
+                {"site_index": index, "block_row": 0, "block_col": 4 * n,
+                 "viable_area_km2": 0.1, "nameplate_mw": 3.6, **extra}
+                for n, (index, extra) in enumerate(parcels)
+            ],
+        }
+        if profiles is not None:
+            payload["profiles"] = profiles
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_repeated_site_index_rejected(self, tmp_path):
+        path = self._write_payload(
+            tmp_path, [(1, {"profile": None}), (1, {"profile": None})], profiles=[]
+        )
+        with pytest.raises(ValidationError, match="repeats site index 1"):
+            catalog_from_json(path)
+
+    @pytest.mark.parametrize("ref", [1, -1, "0", True, 0.0])
+    def test_profile_reference_outside_list_rejected(self, tmp_path, ref):
+        profiles = [{"unit": "cf", "label": "", "values": [0.5, 0.5]}]
+        path = self._write_payload(tmp_path, [(1, {"profile": ref})], profiles=profiles)
+        with pytest.raises(ValidationError, match="lists 1 profile"):
+            catalog_from_json(path)
+
+    def test_inline_profile_format_rejected(self, tmp_path):
+        inline = {"representative_profile": {"unit": "cf", "label": "", "values": [0.5]}}
+        path = self._write_payload(tmp_path, [(1, inline)])
+        with pytest.raises(ValidationError, match="re-run `mgplan site`"):
+            catalog_from_json(path)
+
     def test_json_is_valid(self, tmp_path):
         counts = np.zeros((4, 4), dtype=int)
         catalog = aggregate_parcels(CompositeMap(counts, 90.0), block_cells=4)
         text = catalog_to_json(catalog)
         payload = json.loads(text)
         assert payload["power_density_mw_per_km2"] == 36.0
+
+
+class TestSitingConfig:
+    def write(self, tmp_path, **payload):
+        config = {"layers": [{"path": "slope.asc", "name": "slope", "mode": "binary"}]}
+        config.update(payload)
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_defaults(self, tmp_path):
+        config = load_siting_config(self.write(tmp_path))
+        assert config.block_cells == 64
+        assert config.profile_hours == 8760
+        assert config.layers[0][0] == tmp_path / "slope.asc"
+
+    @pytest.mark.parametrize(
+        "layer,match",
+        [
+            ({"path": "slope.asc", "name": "slope"}, "layer 'slope' has no 'mode'"),
+            ({"path": "slope.asc"}, "layer 'slope.asc' has no 'mode'"),
+            ({"name": "wetlands", "mode": "binary"}, "layer 'wetlands' has no 'path'"),
+            ({"mode": "binary"}, "layer '#1' has no 'path'"),
+            ("slope.asc", "layer 1 must be an object"),
+        ],
+        ids=["no-mode", "no-mode-no-name", "no-path", "no-path-no-name", "not-an-object"],
+    )
+    def test_incomplete_layer_rejected(self, tmp_path, layer, match):
+        with pytest.raises(ValidationError, match=match):
+            load_siting_config(self.write(tmp_path, layers=[layer]))
+
+    @pytest.mark.parametrize("key", ["block_cells", "profile_hours"])
+    @pytest.mark.parametrize("value", [64.7, 64.0, "64", True, 0, -8])
+    def test_non_integer_count_rejected(self, tmp_path, key, value):
+        with pytest.raises(ValidationError, match=f"'{key}' must be a positive integer"):
+            load_siting_config(self.write(tmp_path, **{key: value}))
