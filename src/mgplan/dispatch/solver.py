@@ -1,10 +1,19 @@
 """Dispatch optimizer: one LP, an exclusivity check, and a MILP fallback.
 
-The objective minimizes grid-caused emissions, written per hour as the
-hourly emission rate scaled by the grid share of load; the percent
-reduction is recovered afterward. Tiny tie-break penalties on total grid
-draw and charger power keep solutions deterministic among
-emission-optimal alternatives (prefer less grid, less throughput).
+The LP has six columns per hour: grid, solar and battery to load (PGL,
+PSL, PBL), solar and grid to battery (PSB, PGB), and stored energy (EB).
+Grid total PGL + PGB, charger total PSB + PGB and curtailment (the slack
+of the solar row) are rebuilt from the solution, not solved for.
+
+The objective minimizes grid-caused emissions: per hour, the weight w
+(emission rate over load) times grid draw; the percent reduction is
+recovered afterward. A tiny tie-break eps on grid draw and on charger
+power prefers less grid and less throughput: (w + eps)(PGL + PGB) +
+eps(PSB + PGB) is charged as the column costs w + eps on PGL, w + 2 eps
+on PGB and eps on PSB. A tie remains: in one hour, trading solar-to-load
+for solar-to-battery against grid-to-battery for grid-to-load costs
+nothing, so the utilization and charging fractions may depend on the
+optimal vertex HiGHS returns.
 
 The LP relaxes the hourly charge/discharge exclusivity to the projected
 form ``discharge + charge <= power limit``. With an efficiency below one
@@ -41,8 +50,8 @@ BACKEND_AUTO = "auto"
 BACKEND_MILP = "milp"
 
 # Column order within one hour's variable block.
-_PGL, _PSL, _PBL, _PSB, _PGB, _PCUR, _PG, _PB, _EB = range(9)
-_NV = 9
+_PGL, _PSL, _PBL, _PSB, _PGB, _EB = range(6)
+_NV = 6
 
 
 @dataclass(frozen=True)
@@ -109,9 +118,11 @@ def solve_dispatch(
 
 
 class _DispatchLp:
-    """Sparse LP over 9 continuous variables per hour, with the
-    charge/discharge exclusivity relaxed to ``discharge + charge <= power
-    limit``."""
+    """Per hour: columns PGL, PSL, PBL, PSB, PGB, EB; equality rows
+    EB[t] - EB[t-1] - eta(PSB + PGB) + PBL = 0 and PGL + PSL + PBL = load;
+    inequality rows PSL + PSB <= solar and PBL + PSB + PGB <= pmax (the
+    relaxed exclusivity). The costs w + eps on PGL, w + 2 eps on PGB and
+    eps on PSB equal (w + eps) grid total + eps charger total."""
 
     def __init__(self, instance: DispatchInstance, tie_break_eps: float):
         self.instance = instance
@@ -124,53 +135,33 @@ class _DispatchLp:
         base = t * _NV
         n = T * _NV
 
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
+        eq_terms = [
+            # Stored-energy recursion with charge efficiency.
+            (2 * t, base + _EB, 1.0),
+            (2 * t, base + _PSB, -batt.roundtrip_efficiency),
+            (2 * t, base + _PGB, -batt.roundtrip_efficiency),
+            (2 * t, base + _PBL, 1.0),
+            (2 * t[1:], base[:-1] + _EB, -1.0),
+            # Load balance: grid + solar + battery shares meet the load.
+            (2 * t + 1, base + _PGL, 1.0),
+            (2 * t + 1, base + _PSL, 1.0),
+            (2 * t + 1, base + _PBL, 1.0),
+        ]
+        self.a_eq = _csr(eq_terms, (2 * T, n))
+        self.b_eq = np.column_stack([np.zeros(T), load]).ravel()
+        self.b_eq[0] = batt.initial_energy_mwh
 
-        def add(row: np.ndarray, col: np.ndarray, val: float | np.ndarray) -> None:
-            rows.append(row)
-            cols.append(col)
-            vals.append(np.broadcast_to(np.asarray(val, dtype=np.float64), row.shape))
-
-        # Solar split: to-load + to-battery + curtailed = available solar.
-        add(5 * t, base + _PSL, 1.0)
-        add(5 * t, base + _PSB, 1.0)
-        add(5 * t, base + _PCUR, 1.0)
-        # Charger sum: total charge = from-solar + from-grid.
-        add(5 * t + 1, base + _PB, 1.0)
-        add(5 * t + 1, base + _PSB, -1.0)
-        add(5 * t + 1, base + _PGB, -1.0)
-        # Stored-energy recursion with charge efficiency.
-        add(5 * t + 2, base + _EB, 1.0)
-        add(5 * t + 2, base + _PB, -batt.roundtrip_efficiency)
-        add(5 * t + 2, base + _PBL, 1.0)
-        add(5 * t[1:] + 2, base[:-1] + _EB, -1.0)
-        # Grid sum: total grid = to-load + to-battery.
-        add(5 * t + 3, base + _PG, 1.0)
-        add(5 * t + 3, base + _PGL, -1.0)
-        add(5 * t + 3, base + _PGB, -1.0)
-        # Load balance: grid + solar + battery shares meet the load.
-        add(5 * t + 4, base + _PGL, 1.0)
-        add(5 * t + 4, base + _PSL, 1.0)
-        add(5 * t + 4, base + _PBL, 1.0)
-
-        self.a_eq = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(5 * T, n),
-        )
-        b_eq = np.zeros(5 * T)
-        b_eq[5 * t] = solar
-        b_eq[5 * t + 4] = load
-        b_eq[2] += batt.initial_energy_mwh
-        self.b_eq = b_eq
-
-        ub_rows = np.repeat(t, 2)
-        ub_cols = np.stack([base + _PBL, base + _PB], axis=1).ravel()
-        self.a_ub = sparse.csr_matrix(
-            (np.ones(2 * T), (ub_rows, ub_cols)), shape=(T, n)
-        )
-        self.b_ub = np.full(T, batt.power_limit_mw)
+        ub_terms = [
+            # Solar split: to-load + to-battery <= available solar.
+            (2 * t, base + _PSL, 1.0),
+            (2 * t, base + _PSB, 1.0),
+            # Power limit: discharge + charge <= pmax.
+            (2 * t + 1, base + _PBL, 1.0),
+            (2 * t + 1, base + _PSB, 1.0),
+            (2 * t + 1, base + _PGB, 1.0),
+        ]
+        self.a_ub = _csr(ub_terms, (2 * T, n))
+        self.b_ub = np.column_stack([solar, np.full(T, batt.power_limit_mw)]).ravel()
 
         lb = np.zeros(n)
         ub = np.full(n, np.inf)
@@ -180,15 +171,16 @@ class _DispatchLp:
         lb[base[-1] + _EB] = batt.initial_energy_mwh
         ub[base[-1] + _EB] = batt.initial_energy_mwh
         zero_load = load <= ZERO_LOAD_TOL
-        for j in (_PG, _PGL, _PGB):
+        for j in (_PGL, _PGB):
             ub[base[zero_load] + j] = 0.0
         self.lb = lb
         self.ub = ub
 
-        self.weights = np.where(zero_load, 0.0, carbon / np.where(zero_load, 1.0, load))
+        w = np.where(zero_load, 0.0, carbon / np.where(zero_load, 1.0, load))
         c = np.zeros(n)
-        c[base + _PG] = self.weights + tie_break_eps
-        c[base + _PB] += tie_break_eps
+        c[base + _PGL] = w + tie_break_eps
+        c[base + _PGB] = w + 2 * tie_break_eps
+        c[base + _PSB] = tie_break_eps
         self.c = c
         self.base = base
 
@@ -216,7 +208,7 @@ class _DispatchLp:
 
     def exclusivity_violations(self, x: np.ndarray) -> np.ndarray:
         X = x.reshape(self.instance.horizon, _NV)
-        return X[:, _PBL] * X[:, _PB]
+        return X[:, _PBL] * (X[:, _PSB] + X[:, _PGB])
 
 
 def _solve_milp(lp: _DispatchLp, gap_tol: float, time_limit_s: float):
@@ -233,28 +225,29 @@ def _solve_milp(lp: _DispatchLp, gap_tol: float, time_limit_s: float):
 
     t = np.arange(T)
     # discharge <= pmax * delta ; charge <= pmax * (1 - delta)
-    rows = np.concatenate([t, t, T + t, T + t])
-    cols = np.concatenate([base + _PBL, n + t, base + _PB, n + t])
-    vals = np.concatenate([np.ones(T), -pmax * np.ones(T), np.ones(T), pmax * np.ones(T)])
-    a_delta = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * T, n + T))
+    delta_terms = [
+        (t, base + _PBL, 1.0),
+        (t, n + t, -pmax),
+        (T + t, base + _PSB, 1.0),
+        (T + t, base + _PGB, 1.0),
+        (T + t, n + t, pmax),
+    ]
+    a_delta = _csr(delta_terms, (2 * T, n + T))
     b_delta = np.concatenate([np.zeros(T), np.full(T, pmax)])
 
-    pad = sparse.csr_matrix((lp.a_eq.shape[0], T))
-    a_eq = sparse.hstack([lp.a_eq, pad], format="csr")
+    def padded(a: sparse.csr_matrix) -> sparse.csr_matrix:
+        return sparse.hstack([a, sparse.csr_matrix((a.shape[0], T))], format="csr")
 
     res = milp(
         c,
         constraints=[
-            LinearConstraint(a_eq, lp.b_eq, lp.b_eq),
+            LinearConstraint(padded(lp.a_eq), lp.b_eq, lp.b_eq),
+            LinearConstraint(padded(lp.a_ub), -np.inf, lp.b_ub),
             LinearConstraint(a_delta, -np.inf, b_delta),
         ],
         integrality=integrality,
         bounds=Bounds(lb, ub),
-        options={
-            "presolve": True,
-            "mip_rel_gap": gap_tol,
-            "time_limit": time_limit_s,
-        },
+        options={"presolve": True, "mip_rel_gap": gap_tol, "time_limit": time_limit_s},
     )
     _raise_if_infeasible(res)
     if res.x is None:
@@ -263,6 +256,16 @@ def _solve_milp(lp: _DispatchLp, gap_tol: float, time_limit_s: float):
     if res.status == 0 and gap <= gap_tol:
         return res.x[:n], gap, STATUS_OPTIMAL
     return res.x[:n], gap, STATUS_GAP
+
+
+def _csr(terms, shape: tuple[int, int]) -> sparse.csr_matrix:
+    """Sparse matrix from (row indices, column indices, coefficient) terms."""
+    rows, cols, vals = zip(*terms)
+    data = [np.full(r.shape, v, dtype=np.float64) for r, v in zip(rows, vals)]
+    return sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape,
+    )
 
 
 def _raise_if_infeasible(res) -> None:
@@ -276,17 +279,9 @@ def _solve_without_battery(instance: DispatchInstance) -> DispatchResult:
     """Closed form when no battery exists: solar serves load first, the
     grid covers the remainder, surplus solar is curtailed."""
     load = instance.load.values
-    solar = instance.solar.values
-    T = instance.horizon
-    solar_to_load = np.minimum(solar, load)
-    grid_to_load = load - solar_to_load
-    zeros = np.zeros(T)
-    X = np.zeros((T, _NV))
-    X[:, _PSL] = solar_to_load
-    X[:, _PGL] = grid_to_load
-    X[:, _PCUR] = solar - solar_to_load
-    X[:, _PG] = grid_to_load
-    X[:, _EB] = zeros
+    X = np.zeros((instance.horizon, _NV))
+    X[:, _PSL] = np.minimum(instance.solar.values, load)
+    X[:, _PGL] = load - X[:, _PSL]
     return _assemble_result(instance, X, STATUS_OPTIMAL, 0.0)
 
 
@@ -298,8 +293,9 @@ def _assemble_result(
     carbon = instance.carbon.values
 
     power = np.maximum(X[:, :_EB], 0.0)
-    grid_total = power[:, _PG]
-    charge_total = power[:, _PB]
+    grid_total = power[:, _PGL] + power[:, _PGB]
+    charge_total = power[:, _PSB] + power[:, _PGB]
+    curtailed = np.maximum(instance.solar.values - power[:, _PSL] - power[:, _PSB], 0.0)
     batt_to_load = power[:, _PBL]
     battery_energy = X[:, _EB].copy()
 
@@ -328,7 +324,7 @@ def _assemble_result(
         batt_to_load=batt_to_load,
         solar_to_batt=power[:, _PSB],
         grid_to_batt=power[:, _PGB],
-        solar_curtailed=power[:, _PCUR],
+        solar_curtailed=curtailed,
         grid_total=grid_total,
         charge_total=charge_total,
         battery_energy=battery_energy,

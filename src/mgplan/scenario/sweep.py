@@ -31,7 +31,7 @@ from ..dispatch import (
     build_instance,
     solve_dispatch,
 )
-from ..errors import SolverFailure, ValidationError
+from ..errors import SolverFailure, ValidationError, json_int, read_json, require_keys
 from ..profiles import (
     UNIT_CAPACITY_FACTOR,
     UNIT_KG_PER_HOUR,
@@ -528,18 +528,31 @@ _SOLVER_KEYS = frozenset(f.name for f in fields(SolveOptions))
 def load_sweep_spec(source: str | Path) -> SweepSpec:
     """Read a sweep spec from JSON; relative paths resolve against it."""
     path = Path(source)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = read_json(path)
+    require_keys(payload, ("load", "carbon"), f"{path.name}: sweep spec")
     base = path.parent
-    hours = int(payload.get("hours", 8760))
+    hours = json_int(payload.get("hours", 8760), f"{path.name}: 'hours'", positive=True)
+    shifts = tuple(
+        json_int(h, f"{path.name}: shift") for h in payload.get("shift_hours", [0])
+    )
+    shift_carbon = payload.get("shift_carbon", True)
+    if type(shift_carbon) is not bool:
+        raise ValidationError(
+            f"{path.name}: 'shift_carbon' must be true or false, got {shift_carbon!r}"
+        )
     load = load_profile(base / payload["load"], UNIT_MW, hours=hours)
     carbon = load_profile(base / payload["carbon"], UNIT_KG_PER_HOUR, hours=hours)
 
     sites: list[SweepSite] = []
     if "catalog" in payload:
-        catalog = catalog_from_json(base / payload["catalog"])
+        catalog_path = base / payload["catalog"]
+        catalog = catalog_from_json(catalog_path)
         indices = payload.get("site_indices") or [p.site_index for p in catalog.parcels]
         for idx in indices:
-            parcel = catalog[int(idx)]
+            try:
+                parcel = catalog[json_int(idx, f"{path.name}: site index")]
+            except KeyError:
+                raise ValidationError(f"{catalog_path.name} has no site {idx}") from None
             if parcel.representative_profile is None:
                 raise ValidationError(
                     f"catalog parcel {idx} carries no representative profile"
@@ -552,7 +565,8 @@ def load_sweep_spec(source: str | Path) -> SweepSpec:
                     profile=parcel.representative_profile,
                 )
             )
-    for i, entry in enumerate(payload.get("sites", [])):
+    for n, entry in enumerate(payload.get("sites", []), start=1):
+        require_keys(entry, ("profile", "nameplate_mw"), f"{path.name}: site entry {n}")
         profile = load_profile(base / entry["profile"], UNIT_MW, hours=hours)
         sites.append(
             SweepSite(
@@ -597,8 +611,8 @@ def load_sweep_spec(source: str | Path) -> SweepSpec:
         nameplate_scales=tuple(payload.get("nameplate_scales", [1.0])),
         battery_sizes_mwh=tuple(payload.get("battery_sizes_mwh", [0.0])),
         chemistries=tuple(payload.get("chemistries", ["LFP"])),
-        shift_hours=tuple(int(h) for h in payload.get("shift_hours", [0])),
-        shift_carbon=bool(payload.get("shift_carbon", True)),
+        shift_hours=shifts,
+        shift_carbon=shift_carbon,
         gep_usd_per_mwh=float(
             payload.get("gep_usd_per_mwh", costs_mod.GRID_ELECTRICITY_PRICE)
         ),

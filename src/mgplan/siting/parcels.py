@@ -36,12 +36,17 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, read_json, require_keys
 from ..profiles import UNIT_CAPACITY_FACTOR, HourlyProfile
 from .exclusions import CompositeMap
 
 DEFAULT_BLOCK_CELLS = 64
 DEFAULT_POWER_DENSITY_MW_PER_KM2 = 36.0
+
+_CATALOG_KEYS = ("block_cells", "cell_size_m", "power_density_mw_per_km2", "parcels")
+_PARCEL_KEYS = (
+    "site_index", "block_row", "block_col", "viable_area_km2", "nameplate_mw", "profile"
+)
 
 
 @dataclass(frozen=True)
@@ -203,13 +208,16 @@ def catalog_from_json(source: str | Path) -> SiteCatalog:
     """Read a catalog written by ``catalog_to_json``. Parcels that refer to
     one profile share one ``HourlyProfile``."""
     path = Path(source)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = read_json(path)
     if "profiles" not in payload:
         raise ValidationError(
             f"{path.name}: catalog has no 'profiles' list; catalogs with an inline "
             f"'representative_profile' per parcel are no longer read, re-run "
             f"`mgplan site` to rewrite it"
         )
+    require_keys(payload, _CATALOG_KEYS, f"{path.name}: catalog")
+    for n, raw in enumerate(payload["profiles"]):
+        require_keys(raw, ("values",), f"{path.name}: profile {n}")
     profiles = [
         HourlyProfile(
             np.asarray(raw["values"], dtype=np.float64),
@@ -219,12 +227,14 @@ def catalog_from_json(source: str | Path) -> SiteCatalog:
         for raw in payload["profiles"]
     ]
     parcels = []
-    for entry in payload["parcels"]:
+    for n, entry in enumerate(payload["parcels"], start=1):
+        site = entry.get("site_index", f"#{n}")
+        require_keys(entry, _PARCEL_KEYS, f"{path.name}: site {site}")
         ref = entry["profile"]
         # bool is an int subclass; a JSON true is no position.
         if ref is not None and not (type(ref) is int and 0 <= ref < len(profiles)):
             raise ValidationError(
-                f"{path.name}: site {entry['site_index']} refers to profile {ref!r}, "
+                f"{path.name}: site {site} refers to profile {ref!r}, "
                 f"but the catalog lists {len(profiles)} profile(s)"
             )
         parcels.append(

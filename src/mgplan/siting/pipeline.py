@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import ValidationError
+from ..errors import ValidationError, json_int, read_json
 from ..profiles import UNIT_CAPACITY_FACTOR, HourlyProfile, load_profile
 from .exclusions import (
     METERS_PER_MILE,
@@ -47,10 +46,7 @@ def load_siting_config(source: str | Path) -> SitingConfig:
     use 1 mile = 1609.344 m.
     """
     path = Path(source)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path.name}: invalid JSON: {exc}") from None
+    payload = read_json(path)
     if "layers" not in payload or not payload["layers"]:
         raise ValidationError(f"{path.name}: config must list at least one layer")
     base = path.parent
@@ -82,21 +78,19 @@ def load_siting_config(source: str | Path) -> SitingConfig:
     )
     return SitingConfig(
         layers=tuple(layers),
-        block_cells=_positive_int(payload, "block_cells", DEFAULT_BLOCK_CELLS, path),
+        block_cells=json_int(
+            payload.get("block_cells", DEFAULT_BLOCK_CELLS),
+            f"{path.name}: 'block_cells'",
+            positive=True,
+        ),
         power_density_mw_per_km2=float(
             payload.get("power_density_mw_per_km2", DEFAULT_POWER_DENSITY_MW_PER_KM2)
         ),
         profile_paths=profile_paths,
-        profile_hours=_positive_int(payload, "profile_hours", 8760, path),
+        profile_hours=json_int(
+            payload.get("profile_hours", 8760), f"{path.name}: 'profile_hours'", positive=True
+        ),
     )
-
-
-def _positive_int(payload: dict, key: str, default: int, path: Path) -> int:
-    value = payload.get(key, default)
-    # bool is an int subclass; a JSON true is not a count.
-    if type(value) is not int or value < 1:
-        raise ValidationError(f"{path.name}: {key!r} must be a positive integer, got {value!r}")
-    return value
 
 
 def run_siting(config: SitingConfig) -> SiteCatalog:

@@ -228,6 +228,26 @@ class TestSiteCommand:
             assert row["nameplate_mw"] == pytest.approx(nameplates[row["site_index"]])
 
 
+    def test_sweep_on_catalog_with_missing_field_exit_code(self, runner, tmp_path):
+        write_profiles(tmp_path, hours=24)
+        catalog = {
+            "block_cells": 8,
+            "cell_size_m": 90.0,
+            "power_density_mw_per_km2": 36.0,
+            "profiles": [{"unit": "cf", "label": "", "values": [0.5] * 24}],
+            "parcels": [{"site_index": 1, "block_row": 0, "block_col": 0,
+                         "viable_area_km2": 0.1, "nameplate_mw": 3.6}],
+        }
+        (tmp_path / "catalog.json").write_text(json.dumps(catalog))
+        spec = {"load": "load.csv", "carbon": "carbon.csv", "hours": 24,
+                "catalog": "catalog.json", "output_dir": "out"}
+        (tmp_path / "sweep.json").write_text(json.dumps(spec))
+        result = runner.invoke(main, ["sweep", "--spec", str(tmp_path / "sweep.json")])
+        assert result.exit_code == EXIT_VALIDATION
+        assert "site 1 has no 'profile'" in result.output
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepAndReportCommands:
     def test_sweep_then_report(self, runner, tmp_path):
         load, solar, carbon = write_profiles(tmp_path)

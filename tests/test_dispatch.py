@@ -25,7 +25,8 @@ from mgplan import (
 from mgplan.dispatch import STATUS_OPTIMAL
 from mgplan.dispatch import solver as solver_mod
 
-from support import synthetic_year, toy_instance
+from dispatch_oracle import solve_oracle
+from support import random_small_instance, synthetic_year, toy_instance
 
 
 def mk_instance(load, solar, carbon, e_rated=0.0):
@@ -180,21 +181,37 @@ def assert_invariants(result, instance, tol=1e-6):
     assert 0.0 <= result.reduction_pct <= 100.0
 
 
+def random_invariant_instances():
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        T = int(rng.choice([4, 6, 8]))
+        load = rng.integers(0, 6, T).astype(float)
+        solar = rng.integers(0, 6, T).astype(float)
+        carbon = np.where(load > 0, rng.integers(0, 5, T), 0).astype(float)
+        e = float(rng.choice([0.0, 4.0, 8.0]))
+        yield mk_instance(load, solar, carbon, e)
+
+
+def assert_exact_sums(result):
+    """Grid and charger totals are the sums of their parts, bit for bit."""
+    assert np.array_equal(result.grid_total, result.grid_to_load + result.grid_to_batt)
+    assert np.array_equal(
+        result.charge_total, result.solar_to_batt + result.grid_to_batt
+    )
+
+
 class TestInvariants:
     def test_random_small_instances(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            T = int(rng.choice([4, 6, 8]))
-            load = rng.integers(0, 6, T).astype(float)
-            solar = rng.integers(0, 6, T).astype(float)
-            carbon = np.where(load > 0, rng.integers(0, 5, T), 0).astype(float)
-            e = float(rng.choice([0.0, 4.0, 8.0]))
-            instance = mk_instance(load, solar, carbon, e)
+        for instance in random_invariant_instances():
             result = solve_dispatch(instance)
             assert_invariants(result, instance)
             assert renewable_emissions(result, instance) == pytest.approx(
                 result.renewable_kg, abs=1e-9
             )
+
+    def test_totals_are_exact_sums(self):
+        for instance in random_invariant_instances():
+            assert_exact_sums(solve_dispatch(instance))
 
     def test_fraction_sums(self):
         result = solve_dispatch(toy_instance())
@@ -275,6 +292,22 @@ class TestMilpFallback:
         assert len(milp_calls) == 1
         assert result.renewable_kg == pytest.approx(reference, abs=1e-6)
         assert result.status == STATUS_OPTIMAL
+
+    def test_milp_backend_matches_oracle(self):
+        """The MILP's binary rows, on instances with a battery, against the
+        exhaustive oracle."""
+        rng = np.random.default_rng(41)
+        solved = 0
+        while solved < 12:
+            instance, load, solar, carbon, e_rated = random_small_instance(rng)
+            if e_rated == 0:
+                continue
+            result = solve_dispatch(instance, SolveOptions(backend="milp", gap_tol=1e-9))
+            oracle = solve_oracle(load, solar, carbon, e_rated)
+            assert result.reduction_pct == pytest.approx(oracle.reduction_pct, abs=1e-6)
+            assert result.status == STATUS_OPTIMAL
+            assert (result.batt_to_load * result.charge_total).max() <= 1e-9
+            solved += 1
 
     def test_time_limit_failure(self, monkeypatch):
         """A HiGHS call that reports its time limit (status 1) fails the
@@ -359,3 +392,17 @@ class TestFullYear:
         assert result.util_grid + result.util_solar + result.util_batt == pytest.approx(
             1.0, abs=1e-9
         )
+
+    def test_noisy_year_totals_are_exact_sums(self):
+        """Load in every hour and noisy emissions make grid charging pay, so
+        both charger sources run in many hours."""
+        rng = np.random.default_rng(0)
+        hod = np.arange(8760) % 24
+        load = 20.0 + 10.0 * rng.random(8760)
+        cf = np.maximum(0.0, np.sin(np.pi * (hod - 6) / 14.0)) * rng.uniform(0.3, 1.0, 8760)
+        carbon = load * rng.uniform(200.0, 600.0, 8760)
+        instance = mk_instance(load, 60.0 * cf, carbon, e_rated=100.0)
+        result = solve_dispatch(instance)
+        assert result.chg_grid > 0.0 and result.chg_solar > 0.0
+        assert_invariants(result, instance)
+        assert_exact_sums(result)

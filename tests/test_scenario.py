@@ -445,3 +445,50 @@ class TestSweepSpecFile:
         with pytest.raises(ValidationError, match=message):
             load_sweep_spec(write_spec(tmp_path, **{axis: values}))
         assert solved == []
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: {**p, "shift_hours": [1.5]}, "shift must be an integer, got 1.5"),
+            (lambda p: {**p, "shift_hours": [0, True]}, "shift must be an integer, got True"),
+            (lambda p: {**p, "hours": 24.9}, "'hours' must be a positive integer, got 24.9"),
+            (lambda p: {**p, "hours": 0}, "'hours' must be a positive integer, got 0"),
+            (lambda p: {**p, "shift_carbon": "false"}, "'shift_carbon' must be true or false"),
+            (lambda p: {k: v for k, v in p.items() if k != "load"}, "has no 'load'"),
+            (lambda p: {k: v for k, v in p.items() if k != "carbon"}, "has no 'carbon'"),
+            (
+                lambda p: {**p, "sites": [{"profile": "solar.csv"}]},
+                "site entry 1 has no 'nameplate_mw'",
+            ),
+            (lambda p: {**p, "sites": [{"nameplate_mw": 5.0}]}, "site entry 1 has no 'profile'"),
+            (None, "sweep.json: invalid JSON"),
+        ],
+        ids=[
+            "fractional-shift", "bool-shift", "fractional-hours", "zero-hours",
+            "string-shift-carbon", "no-load", "no-carbon", "site-without-nameplate",
+            "site-without-profile", "invalid-json",
+        ],
+    )
+    def test_bad_input_rejected(self, tmp_path, edit, match):
+        path = write_spec(tmp_path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(payload)[:-1] if edit is None else json.dumps(edit(payload)))
+        with pytest.raises(ValidationError, match=match):
+            load_sweep_spec(path)
+
+    @pytest.mark.parametrize(
+        "index, match", [(7, "catalog.json has no site 7"), (1.5, "site index must be")]
+    )
+    def test_bad_catalog_site_index_rejected(self, tmp_path, index, match):
+        catalog = {
+            "block_cells": 8,
+            "cell_size_m": 90.0,
+            "power_density_mw_per_km2": 36.0,
+            "profiles": [{"unit": "cf", "label": "", "values": [0.5] * 24}],
+            "parcels": [{"site_index": 1, "block_row": 0, "block_col": 0,
+                         "viable_area_km2": 0.1, "nameplate_mw": 3.6, "profile": 0}],
+        }
+        (tmp_path / "catalog.json").write_text(json.dumps(catalog))
+        path = write_spec(tmp_path, sites=[], catalog="catalog.json", site_indices=[index])
+        with pytest.raises(ValidationError, match=match):
+            load_sweep_spec(path)

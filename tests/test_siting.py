@@ -470,6 +470,32 @@ class TestCatalogJson:
         with pytest.raises(ValidationError, match="lists 1 profile"):
             catalog_from_json(path)
 
+    @pytest.mark.parametrize(
+        "where, key, match",
+        [
+            ("parcel", "profile", "site 2 has no 'profile'"),
+            ("parcel", "nameplate_mw", "site 2 has no 'nameplate_mw'"),
+            ("parcel", "site_index", "site #2 has no 'site_index'"),
+            ("catalog", "cell_size_m", "catalog has no 'cell_size_m'"),
+            ("profile", "values", "profile 0 has no 'values'"),
+        ],
+    )
+    def test_missing_field_rejected(self, tmp_path, where, key, match):
+        profiles = [{"unit": "cf", "label": "", "values": [0.5, 0.5]}]
+        path = self._write_payload(
+            tmp_path, [(1, {"profile": 0}), (2, {"profile": 0})], profiles=profiles
+        )
+        payload = json.loads(path.read_text())
+        target = {
+            "parcel": payload["parcels"][1],
+            "catalog": payload,
+            "profile": payload["profiles"][0],
+        }[where]
+        del target[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=match):
+            catalog_from_json(path)
+
     def test_inline_profile_format_rejected(self, tmp_path):
         inline = {"representative_profile": {"unit": "cf", "label": "", "values": [0.5]}}
         path = self._write_payload(tmp_path, [(1, inline)])
